@@ -34,41 +34,30 @@ else
 fi
 
 echo
-echo "== determinism-lint trajectory (cold vs warm cache) =="
+echo "== determinism-lint trajectory =="
 # The lint gate runs on every CI invocation, so its wall clock is a perf
-# trajectory of its own: a cold full-repo strict pass, then a warm repeat
-# against the cache the cold pass just wrote (fresh temp path — the developer's
-# working cache is not touched). Injected into the bench JSON next to the
-# simulator hot paths so regressions show up in the same artifact.
+# trajectory of its own: one full-repo strict pass, injected into the bench
+# JSON next to the simulator hot paths so regressions show up in the same
+# artifact.
 python - "${BENCH_OUTPUT:-BENCH_hotpaths.json}" <<'PYEOF'
-import json, re, subprocess, sys, tempfile, time
+import json, re, subprocess, sys, time
 from pathlib import Path
 
 out = Path(sys.argv[1])
-with tempfile.TemporaryDirectory() as tmp:
-    cmd = [sys.executable, "-m", "repro", "lint", "src", "--strict",
-           "--cache", "--cache-path", str(Path(tmp) / "lint-cache.json")]
-    timings = []
-    for label in ("cold", "warm"):
-        start = time.perf_counter()
-        proc = subprocess.run(cmd, capture_output=True, text=True)
-        elapsed = time.perf_counter() - start
-        if proc.returncode != 0:
-            sys.stderr.write(proc.stdout + proc.stderr)
-            raise SystemExit(f"strict lint failed during {label} bench run")
-        timings.append(elapsed)
-        print(f"{label}: {elapsed:.3f}s")
-cold_s, warm_s = timings
+cmd = [sys.executable, "-m", "repro", "lint", "src", "--strict"]
+start = time.perf_counter()
+proc = subprocess.run(cmd, capture_output=True, text=True)
+lint_s = time.perf_counter() - start
+if proc.returncode != 0:
+    sys.stderr.write(proc.stdout + proc.stderr)
+    raise SystemExit("strict lint failed during the bench run")
 files = int(re.search(r"in (\d+) file\(s\)", proc.stdout).group(1))
 report = json.loads(out.read_text())
 report["lint"] = {
     "files": files,
-    "lint_cold_s": round(cold_s, 3),
-    "lint_warm_s": round(warm_s, 3),
-    "lint_files_per_s": round(files / cold_s, 1),
-    "warm_speedup": round(cold_s / warm_s, 1),
+    "lint_s": round(lint_s, 3),
+    "lint_files_per_s": round(files / lint_s, 1),
 }
 out.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
-print(f"lint trajectory: {files} files, cold {cold_s:.2f}s, warm {warm_s:.2f}s "
-      f"-> updated {out}")
+print(f"lint trajectory: {files} files in {lint_s:.2f}s -> updated {out}")
 PYEOF

@@ -58,17 +58,16 @@ echo "== compileall =="
 python -m compileall -q src
 
 echo
-echo "== determinism lint (strict, cached, 30s budget) =="
+echo "== determinism lint (strict, 30s budget) =="
 # AST-based determinism & invariant gate (docs/determinism_lint.md). Runs in
 # seconds and before tier-1 so a seeding/ordering violation fails fast with a
 # file:line finding instead of a byte-diff three stages later. Strict mode also
 # fails on stale suppressions, stale allowlist entries and non-canonical
-# allowlist paths. The incremental cache (.repro-lint-cache.json, git-ignored)
-# makes repeat runs near-instant; the budget below is a hard wall-clock gate on
-# the FULL-repo strict run even from a cold cache — busting it means the lint
-# pass itself regressed, which would erode its run-before-everything value.
+# allowlist paths. The budget below is a hard wall-clock gate on the full-repo
+# strict run — busting it means the lint pass itself regressed, which would
+# erode its run-before-everything value.
 LINT_START=$(date +%s)
-python -m repro lint src --strict --cache
+python -m repro lint src --strict
 LINT_ELAPSED=$(( $(date +%s) - LINT_START ))
 echo "lint wall clock: ${LINT_ELAPSED}s (budget 30s)"
 if [ "$LINT_ELAPSED" -gt 30 ]; then
@@ -87,15 +86,6 @@ echo "== docs check (links, anchors, CLI flags) =="
 # argparse tree (scripts/check_docs.py). No network access — external links
 # are not fetched.
 python scripts/check_docs.py
-
-echo
-echo "== columnar tests on the pure-array fallback (REPRO_NO_NUMPY=1) =="
-# The full tier-1 suite above runs with whatever backend is installed; this
-# re-runs the columnar-facing tests with numpy vectorisation disabled, so both
-# execution paths stay green locally. CI additionally runs the whole suite in a
-# numpy-less job (.github/workflows/ci.yml, job `no-numpy`).
-REPRO_NO_NUMPY=1 python -m pytest -x -q \
-    tests/test_columnar.py tests/test_streaming_histograms.py
 
 echo
 echo "== bench smoke (perf trajectory) =="
@@ -128,9 +118,8 @@ echo "parity OK: timeline cells are byte-identical across worker counts"
 echo
 echo "== columnar engine: equivalence vs object backend + golden byte-parity =="
 # The same small grid on both engines. The columnar aggregate must be
-# byte-identical across worker counts, across the numpy and pure-array
-# backends, and to the committed golden; the estimator means of the two
-# engines must agree within tolerance (the engines are statistically
+# byte-identical across worker counts and to the committed golden; the
+# estimator means of the two engines must agree within tolerance (the engines are statistically
 # equivalent, not bit-identical — the columnar model is round-synchronous).
 COLUMNAR_ARGS=(--scenarios static --protocols croupier --sizes 60
                --seeds 2 --rounds 40 --latency constant
@@ -140,11 +129,6 @@ python -m repro matrix "${COLUMNAR_ARGS[@]}" --workers 1 --out artifacts/ci-colu
 cmp artifacts/ci-columnar-w4/matrix_aggregate.json \
     artifacts/ci-columnar-w1/matrix_aggregate.json
 echo "parity OK: columnar cells are byte-identical across worker counts"
-REPRO_NO_NUMPY=1 python -m repro matrix "${COLUMNAR_ARGS[@]}" --workers 1 \
-    --out artifacts/ci-columnar-nonumpy
-cmp artifacts/ci-columnar-w1/matrix_aggregate.json \
-    artifacts/ci-columnar-nonumpy/matrix_aggregate.json
-echo "backend OK: numpy and pure-array fallback runs are byte-identical"
 cmp artifacts/baseline/columnar_aggregate.json \
     artifacts/ci-columnar-w1/matrix_aggregate.json
 echo "golden OK: columnar aggregate matches the committed golden byte for byte"

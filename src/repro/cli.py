@@ -339,20 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
         "the first lint path)",
     )
     lint.add_argument(
-        "--cache",
-        action="store_true",
-        help="reuse per-file rule output for content-unchanged files (keyed by "
-        "file sha256 + ruleset fingerprint; suppressions and the allowlist are "
-        "replayed live, so escape-hatch edits are never stale)",
-    )
-    lint.add_argument(
-        "--cache-path",
-        type=Path,
-        default=Path(".repro-lint-cache.json"),
-        help="where --cache persists between runs (default: "
-        ".repro-lint-cache.json in the current directory)",
-    )
-    lint.add_argument(
         "--list-rules", action="store_true", help="list registered rules and exit"
     )
 
@@ -658,11 +644,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
 def _cmd_lint(args: argparse.Namespace) -> int:
     from repro.lint import (
         Allowlist,
-        LintCache,
         all_rules,
         changed_files,
-        rule_ids,
-        ruleset_fingerprint,
         run_lint,
         to_sarif_json,
     )
@@ -699,18 +682,11 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     allowlist = (
         Allowlist.load(args.allowlist) if args.allowlist is not None else None
     )
-    cache = None
-    if args.cache:
-        fingerprint = ruleset_fingerprint(
-            args.rules if args.rules else rule_ids()
-        )
-        cache = LintCache.load(args.cache_path, fingerprint)
     report = run_lint(
         paths,
         rules=args.rules,
         strict=args.strict,
         allowlist=allowlist,
-        cache=cache,
     )
     if args.format == "json":
         print(report.to_json())

@@ -6,7 +6,6 @@ matrix axis). See docs/columnar_backend.md for array layouts, the determinism
 contract, and the documented fidelity deltas from the object backend.
 """
 
-from repro.columnar.backend import HAVE_NUMPY
 from repro.columnar.engine import COLUMNAR_PROTOCOLS, ColumnarEngine
 from repro.columnar.scenario import ColumnarScenario
 from repro.columnar.streaming import ReservoirSample, StreamingHistogram
@@ -15,7 +14,6 @@ __all__ = [
     "COLUMNAR_PROTOCOLS",
     "ColumnarEngine",
     "ColumnarScenario",
-    "HAVE_NUMPY",
     "ReservoirSample",
     "StreamingHistogram",
 ]

@@ -1,44 +1,33 @@
-"""Backend selection and shared numeric helpers for the columnar engine.
+"""numpy access and shared column helpers for the columnar engine.
 
 The columnar engine stores every piece of per-node state in flat
-:class:`array.array` columns (row-major, fixed-width slots). That single storage
-representation is what makes the dual execution paths bit-identical:
-
-* **numpy fast path** — whole-column phases (view ageing, estimator-window
-  archiving, per-node estimate means, in-degree bincounts) run as vectorized
-  operations over zero-copy :func:`numpy.frombuffer` views of the very same
-  ``array.array`` buffers. Only elementwise integer arithmetic, gathers/scatters
-  and elementwise IEEE-754 float operations are used — every one of them produces
-  exactly the bytes the pure-Python loop would.
-* **pure-Python fallback** — the same phases as explicit loops over the same
-  buffers, in the same element order. Correct (and exercised by CI without numpy
-  installed), merely slow at large N.
+:class:`array.array` columns (row-major, fixed-width slots). Whole-column phases
+(view ageing, estimator-window archiving, per-node estimate means, in-degree
+bincounts, the batched shuffle) run as vectorized operations over zero-copy
+:func:`numpy.frombuffer` views of those buffers. Only elementwise integer
+arithmetic, gathers/scatters and elementwise IEEE-754 float operations are used,
+so every phase produces the same bytes a sequential loop would.
 
 Float *reductions* are the one operation where numpy would diverge (pairwise
-summation reorders additions), so they never go through numpy: both paths reduce
-with :func:`seq_sum`, a plain sequential left-to-right accumulation.
+summation reorders additions), so they never go through numpy: user-visible
+means reduce with :func:`seq_sum`, a plain sequential left-to-right
+accumulation.
 
-``REPRO_NO_NUMPY=1`` in the environment forces the fallback even when numpy is
-importable — this is how a container with numpy baked in exercises the fallback
-path end to end (``scripts/ci.sh`` runs the tier-1 suite both ways).
+numpy is optional at import time: ``import repro.columnar`` (and everything on
+the object engine) works without it, and
+:class:`~repro.columnar.engine.ColumnarEngine` raises a
+:class:`~repro.errors.ConfigurationError` at construction when ``np`` is None.
 """
 
 from __future__ import annotations
 
-import os
 from array import array
-from typing import Iterable, Optional
+from typing import Iterable
 
-np = None
-if os.environ.get("REPRO_NO_NUMPY", "") in ("", "0"):
-    try:  # pragma: no cover - exercised via both CI installs
-        import numpy as np  # type: ignore[no-redef]
-    except ImportError:  # pragma: no cover
-        np = None
-
-#: Whether the numpy fast path is available (import-time decision; engines take an
-#: explicit ``use_numpy`` override so tests can exercise both paths in one process).
-HAVE_NUMPY = np is not None
+try:  # pragma: no cover - exercised via both CI installs
+    import numpy as np
+except ImportError:  # pragma: no cover
+    np = None
 
 #: array.array typecode -> numpy dtype name (native byte order on both sides).
 _DTYPES = {"b": "int8", "i": "int32", "q": "int64", "d": "float64"}
@@ -72,22 +61,10 @@ def grow_column(column: array, extra: int, fill: int = 0) -> None:
 def seq_sum(values: Iterable[float]) -> float:
     """Strict left-to-right float accumulation — the shared reduction order.
 
-    Both backends fold every user-visible float reduction through this helper so
-    the numpy path can never pick up pairwise-summation rounding differences.
+    Every user-visible float reduction folds through this helper so numpy's
+    pairwise-summation rounding can never reach an aggregate.
     """
     total = 0.0
     for value in values:
         total += value
     return total
-
-
-def seq_mean(values: Iterable[float]) -> Optional[float]:
-    """Sequential mean with the same accumulation order as :func:`seq_sum`."""
-    total = 0.0
-    count = 0
-    for value in values:
-        total += value
-        count += 1
-    if count == 0:
-        return None
-    return total / count

@@ -4,11 +4,11 @@ One :class:`ColumnarEngine` holds an entire cell's protocol state — partial vi
 descriptor ages, ratio-estimator windows and caches, traffic counters — as flat
 ``array.array`` columns (``row = node id``, fixed-width slots per row). A gossip
 round is executed for *all* nodes in one call: the per-column phases (ageing,
-estimator-window archiving, local-estimate recomputation) run as vectorized
-operations (numpy views when available, identical plain loops otherwise), and the
-round's shuffle exchanges are processed as one batched pass over the initiator
-rows in ascending order — no event queue, no per-node callback objects, no
-descriptor allocation.
+estimator-window archiving, local-estimate recomputation) run as vectorized numpy
+operations over the columns, and the round's shuffle exchanges are processed as
+one batched pass over the initiator rows in ascending order — no event queue, no
+per-node callback objects, no descriptor allocation. The engine requires numpy;
+constructing one without it raises :class:`~repro.errors.ConfigurationError`.
 
 Model (the documented deltas from the object backend, see docs/columnar_backend.md):
 
@@ -26,15 +26,15 @@ Model (the documented deltas from the object backend, see docs/columnar_backend.
   local estimate plus its ``forward_estimates`` most recent cached entries
   (default 2), instead of a uniform sample of up to 10.
 
-Everything is deterministic, but the contract is *positional*, not sequential:
-the injected ``random.Random`` is consumed exactly once, at construction, to
-derive a 64-bit engine seed; every in-round random decision is then a
-counter-keyed draw — a pure function of ``(seed, round, phase, row-or-slot
-key)`` (see :mod:`repro.columnar.rng`). That makes the whole shuffle pass
-batchable (:mod:`repro.columnar.shuffle`): the numpy fast path and the
-pure-array fallback evaluate the same keyed draws and the same elementwise
-phases, so they produce bit-identical state (pinned by
-``tests/test_columnar.py``) regardless of evaluation order.
+Everything is deterministic. The injected ``random.Random`` is used in two
+places only: once at construction, to derive a 64-bit engine seed, and once per
+join, when :meth:`ColumnarEngine.add_node` samples the new node's bootstrap
+view from it (joins happen one at a time, so those draws stay sequential).
+Every in-round random decision is a counter-keyed draw instead — a pure
+function of ``(seed, round, phase, row-or-slot key)`` (see
+:mod:`repro.columnar.rng`) — which makes the whole shuffle pass batchable
+(:mod:`repro.columnar.shuffle`) independent of evaluation order. Per-protocol
+state fingerprints are pinned by ``tests/test_columnar.py``.
 """
 
 from __future__ import annotations
@@ -77,6 +77,9 @@ COLUMNAR_PROTOCOLS = ("croupier", "cyclon", "gozar", "nylon")
 class ColumnarEngine:
     """Flat-column state + batched round execution for one simulated cell."""
 
+    #: Every phase runs on numpy (kept for callers that report the backend).
+    use_numpy = True
+
     def __init__(
         self,
         protocol: str,
@@ -92,8 +95,12 @@ class ColumnarEngine:
         parent_keepalive_every_rounds: int = 5,
         keepalive_fanout: int = 20,
         bootstrap_seed_size: Optional[int] = None,
-        use_numpy: Optional[bool] = None,
     ) -> None:
+        if backend.np is None:
+            raise ConfigurationError(
+                "engine='columnar' needs numpy; install it with "
+                "`pip install -e .[columnar]`"
+            )
         if protocol not in COLUMNAR_PROTOCOLS:
             raise ConfigurationError(
                 f"engine='columnar' executes {', '.join(COLUMNAR_PROTOCOLS)}; "
@@ -115,12 +122,9 @@ class ColumnarEngine:
         self.keepalive_fanout = max(0, keepalive_fanout)
         self.seed_size = bootstrap_seed_size or view_size
         self.rng = rng
-        #: The engine's positional-draw seed (repro.columnar.rng): consumed from
-        #: the injected RNG exactly once, here, preserving seed custody.
+        #: The engine's positional-draw seed (repro.columnar.rng). Besides this
+        #: draw, the injected RNG only feeds add_node's bootstrap samples.
         self.hash_seed = rng.getrandbits(64)
-        self.use_numpy = backend.HAVE_NUMPY if use_numpy is None else bool(use_numpy)
-        if self.use_numpy and not backend.HAVE_NUMPY:
-            raise ConfigurationError("numpy requested but not available")
 
         self.round = 0
         self.packets_sent = 0
@@ -268,39 +272,25 @@ class ColumnarEngine:
 
     def live_rows(self) -> List[int]:
         """Live rows in ascending (creation) order."""
-        n = self._rows
-        if self.use_numpy:
-            alive = as_np(self.alive)[:n]
-            return backend.np.nonzero(alive)[0].tolist()  # row 0 is never alive
-        alive = self.alive
-        return [row for row in range(1, n) if alive[row]]
+        alive = as_np(self.alive)[: self._rows]
+        return backend.np.nonzero(alive)[0].tolist()  # row 0 is never alive
 
     def live_count(self) -> int:
-        if self.use_numpy:
-            return int(as_np(self.alive)[: self._rows].sum())
-        return sum(self.alive[1 : self._rows])
+        return int(as_np(self.alive)[: self._rows].sum())
 
     def live_public_rows(self) -> List[int]:
         """Live public rows in ascending (creation) order."""
         n = self._rows
-        if self.use_numpy:
-            np = backend.np
-            alive = as_np(self.alive)[:n]
-            public = as_np(self.is_public)[:n]
-            return np.nonzero((alive != 0) & (public != 0))[0].tolist()
-        alive, public = self.alive, self.is_public
-        return [row for row in range(1, n) if alive[row] and public[row]]
+        alive = as_np(self.alive)[:n]
+        public = as_np(self.is_public)[:n]
+        return backend.np.nonzero((alive != 0) & (public != 0))[0].tolist()
 
     def live_private_rows(self) -> List[int]:
         """Live private rows in ascending (creation) order."""
         n = self._rows
-        if self.use_numpy:
-            np = backend.np
-            alive = as_np(self.alive)[:n]
-            public = as_np(self.is_public)[:n]
-            return np.nonzero((alive != 0) & (public == 0))[0].tolist()
-        alive, public = self.alive, self.is_public
-        return [row for row in range(1, n) if alive[row] and not public[row]]
+        alive = as_np(self.alive)[:n]
+        public = as_np(self.is_public)[:n]
+        return backend.np.nonzero((alive != 0) & (public == 0))[0].tolist()
 
     def public_count(self) -> int:
         return len(self._pub_live)
@@ -314,11 +304,7 @@ class ColumnarEngine:
     def set_partition(self, isolated_rows) -> None:
         """Install (or, with an empty set, heal) a two-sided partition by rows."""
         n = self._rows
-        if self.use_numpy:
-            as_np(self.isolated)[:n] = 0
-        else:
-            for row in range(n):
-                self.isolated[row] = 0
+        as_np(self.isolated)[:n] = 0
         for row in isolated_rows:
             if 0 < row < n:
                 self.isolated[row] = 1
@@ -342,89 +328,47 @@ class ColumnarEngine:
 
     def _age_views(self) -> None:
         end = self._rows * self.V
-        if self.use_numpy:
-            ids = as_np(self.pub_id)[:end]
-            as_np(self.pub_age)[:end] += ids >= 0
-            if self.estimating:
-                ids = as_np(self.priv_id)[:end]
-                as_np(self.priv_age)[:end] += ids >= 0
-            return
-        pub_id, pub_age = self.pub_id, self.pub_age
-        for index in range(end):
-            if pub_id[index] >= 0:
-                pub_age[index] += 1
+        ids = as_np(self.pub_id)[:end]
+        as_np(self.pub_age)[:end] += ids >= 0
         if self.estimating:
-            priv_id, priv_age = self.priv_id, self.priv_age
-            for index in range(end):
-                if priv_id[index] >= 0:
-                    priv_age[index] += 1
+            ids = as_np(self.priv_id)[:end]
+            as_np(self.priv_age)[:end] += ids >= 0
 
     def _advance_rounds_only(self) -> None:
         n = self._rows
-        if self.use_numpy:
-            alive = as_np(self.alive)[:n]
-            as_np(self.rounds_exec)[:n] += alive
-            return
-        alive, rounds = self.alive, self.rounds_exec
-        for row in range(1, n):
-            if alive[row]:
-                rounds[row] += 1
+        as_np(self.rounds_exec)[:n] += as_np(self.alive)[:n]
 
     def _advance_estimators(self) -> None:
         """Archive the finished round's (Cu, Cv) into the α-window ring and refresh
         every public node's local estimate Cu/(Cu+Cv) over the window."""
+        np = backend.np
         n = self._rows
         A = self.A
-        if self.use_numpy:
-            np = backend.np
-            alive = as_np(self.alive)[:n]
-            live = np.nonzero(alive)[0]
-            if live.size:
-                pos = as_np(self.hist_pos)[:n]
-                cur_cu = as_np(self.cur_cu)[:n]
-                cur_cv = as_np(self.cur_cv)[:n]
-                cu_sum = as_np(self.cu_sum)[:n]
-                cv_sum = as_np(self.cv_sum)[:n]
-                hist_cu = as_np(self.hist_cu)
-                hist_cv = as_np(self.hist_cv)
-                flat = live * A + pos[live]
-                cu_sum[live] += cur_cu[live].astype(np.int64) - hist_cu[flat]
-                cv_sum[live] += cur_cv[live].astype(np.int64) - hist_cv[flat]
-                hist_cu[flat] = cur_cu[live]
-                hist_cv[flat] = cur_cv[live]
-                pos[live] = (pos[live] + 1) % A
-                cur_cu[live] = 0
-                cur_cv[live] = 0
-                as_np(self.rounds_exec)[:n][live] += 1
-                den = cu_sum[live] + cv_sum[live]
-                ok = (as_np(self.is_public)[:n][live] != 0) & (den > 0)
-                est = np.full(live.size, -1.0)
-                # int64/int64 true division == Python's int/int for these magnitudes.
-                est[ok] = cu_sum[live][ok] / den[ok]
-                as_np(self.loc_est)[:n][live] = est
+        live = np.nonzero(as_np(self.alive)[:n])[0]
+        if not live.size:
             return
-        alive, pos_col = self.alive, self.hist_pos
-        cur_cu, cur_cv = self.cur_cu, self.cur_cv
-        cu_sum, cv_sum = self.cu_sum, self.cv_sum
-        hist_cu, hist_cv = self.hist_cu, self.hist_cv
-        rounds, is_public, loc_est = self.rounds_exec, self.is_public, self.loc_est
-        for row in range(1, n):
-            if not alive[row]:
-                continue
-            slot = row * A + pos_col[row]
-            cu_sum[row] += cur_cu[row] - hist_cu[slot]
-            cv_sum[row] += cur_cv[row] - hist_cv[slot]
-            hist_cu[slot] = cur_cu[row]
-            hist_cv[slot] = cur_cv[row]
-            pos_col[row] = (pos_col[row] + 1) % A
-            cur_cu[row] = 0
-            cur_cv[row] = 0
-            rounds[row] += 1
-            den = cu_sum[row] + cv_sum[row]
-            if is_public[row] and den > 0:
-                loc_est[row] = cu_sum[row] / den
-            else:
-                loc_est[row] = -1.0
+        pos = as_np(self.hist_pos)[:n]
+        cur_cu = as_np(self.cur_cu)[:n]
+        cur_cv = as_np(self.cur_cv)[:n]
+        cu_sum = as_np(self.cu_sum)[:n]
+        cv_sum = as_np(self.cv_sum)[:n]
+        hist_cu = as_np(self.hist_cu)
+        hist_cv = as_np(self.hist_cv)
+        flat = live * A + pos[live]
+        cu_sum[live] += cur_cu[live].astype(np.int64) - hist_cu[flat]
+        cv_sum[live] += cur_cv[live].astype(np.int64) - hist_cv[flat]
+        hist_cu[flat] = cur_cu[live]
+        hist_cv[flat] = cur_cv[live]
+        pos[live] = (pos[live] + 1) % A
+        cur_cu[live] = 0
+        cur_cv[live] = 0
+        as_np(self.rounds_exec)[:n][live] += 1
+        den = cu_sum[live] + cv_sum[live]
+        ok = (as_np(self.is_public)[:n][live] != 0) & (den > 0)
+        est = np.full(live.size, -1.0)
+        # int64/int64 true division == Python's int/int for these magnitudes.
+        est[ok] = cu_sum[live][ok] / den[ok]
+        as_np(self.loc_est)[:n][live] = est
 
     # ------------------------------------------------------------------ estimates
 
@@ -480,7 +424,8 @@ class ColumnarEngine:
     def estimate_ratio(self, row: int) -> Optional[float]:
         """One node's current estimate: mean of fresh cached estimates plus (for
         public nodes) its own local estimate. Accumulation order: ring slots
-        0..C-1, then the local estimate — both backends, both read paths."""
+        0..C-1, then the local estimate — the same order as
+        :meth:`_measured_estimates`."""
         if not self.estimating:
             return None
         born_min = self.round - self.G
@@ -502,41 +447,30 @@ class ColumnarEngine:
 
     def _measured_estimates(self, min_rounds: int) -> List[float]:
         """Per-node estimates of live, warmed-up nodes in ascending row order —
-        without materialising per-node service objects. Bit-identical between
-        backends and with per-node :meth:`estimate_ratio` calls."""
+        without materialising per-node service objects. Bit-identical with
+        per-node :meth:`estimate_ratio` calls."""
+        np = backend.np
         n = self._rows
         born_min = self.round - self.G
-        estimates: List[float] = []
-        if self.use_numpy:
-            np = backend.np
-            total = np.zeros(n)
-            count = np.zeros(n, dtype=np.int64)
-            est_val = as_np(self.est_val)
-            est_born = as_np(self.est_born)
-            for slot in range(self.C):
-                born = est_born[slot :: self.C][:n]
-                mask = born >= born_min
-                total += np.where(mask, est_val[slot :: self.C][:n], 0.0)
-                count += mask
-            local = as_np(self.loc_est)[:n]
-            has_local = local >= 0.0
-            total += np.where(has_local, local, 0.0)
-            count += has_local
-            sel = (
-                (as_np(self.alive)[:n] != 0)
-                & (as_np(self.rounds_exec)[:n] >= min_rounds)
-                & (count > 0)
-            )
-            if sel.any():
-                estimates = (total[sel] / count[sel]).tolist()
-        else:
-            alive, rounds = self.alive, self.rounds_exec
-            for row in range(1, n):
-                if alive[row] and rounds[row] >= min_rounds:
-                    value = self.estimate_ratio(row)
-                    if value is not None:
-                        estimates.append(value)
-        return estimates
+        total = np.zeros(n)
+        count = np.zeros(n, dtype=np.int64)
+        est_val = as_np(self.est_val)
+        est_born = as_np(self.est_born)
+        for slot in range(self.C):
+            born = est_born[slot :: self.C][:n]
+            mask = born >= born_min
+            total += np.where(mask, est_val[slot :: self.C][:n], 0.0)
+            count += mask
+        local = as_np(self.loc_est)[:n]
+        has_local = local >= 0.0
+        total += np.where(has_local, local, 0.0)
+        count += has_local
+        sel = (
+            (as_np(self.alive)[:n] != 0)
+            & (as_np(self.rounds_exec)[:n] >= min_rounds)
+            & (count > 0)
+        )
+        return (total[sel] / count[sel]).tolist()
 
     def estimate_stats(
         self, true_ratio: float, min_rounds: int = 2
@@ -583,34 +517,23 @@ class ColumnarEngine:
 
     def in_degree_histogram(self) -> StreamingHistogram:
         """Histogram of live->live in-degrees, streamed (never a per-node list)."""
+        np = backend.np
         histogram = StreamingHistogram()
         n = self._rows
-        if self.use_numpy:
-            np = backend.np
-            alive = as_np(self.alive)[:n]
-            counts = np.zeros(n, dtype=np.int64)
-            views = [self.pub_id] + ([self.priv_id] if self.estimating else [])
-            for column in views:
-                ids = as_np(column)[: n * self.V]
-                targets = ids[ids >= 0]
-                targets = targets[alive[targets] != 0]
-                counts += np.bincount(targets, minlength=n)
-            degrees = counts[np.nonzero(alive)[0]]
-            if degrees.size:
-                bins = np.bincount(degrees)
-                histogram.add_counts(
-                    {deg: int(cnt) for deg, cnt in enumerate(bins) if cnt}
-                )
-            return histogram
-        alive = self.alive
-        counts = [0] * n
+        alive = as_np(self.alive)[:n]
+        counts = np.zeros(n, dtype=np.int64)
         views = [self.pub_id] + ([self.priv_id] if self.estimating else [])
         for column in views:
-            for index in range(n * self.V):
-                nid = column[index]
-                if nid >= 0 and alive[nid]:
-                    counts[nid] += 1
-        histogram.add_many(counts[row] for row in range(1, n) if alive[row])
+            ids = as_np(column)[: n * self.V]
+            targets = ids[ids >= 0]
+            targets = targets[alive[targets] != 0]
+            counts += np.bincount(targets, minlength=n)
+        degrees = counts[np.nonzero(alive)[0]]
+        if degrees.size:
+            bins = np.bincount(degrees)
+            histogram.add_counts(
+                {deg: int(cnt) for deg, cnt in enumerate(bins) if cnt}
+            )
         return histogram
 
     # ------------------------------------------------------------------ determinism
@@ -643,5 +566,5 @@ class ColumnarEngine:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"ColumnarEngine({self.protocol}, live={self.live_count()}, "
-            f"round={self.round}, numpy={self.use_numpy})"
+            f"round={self.round})"
         )

@@ -9,15 +9,16 @@ contract impossible to keep (a batched phase draws for every row at once, and
 ``(engine seed, round, phase tag, key)``
 
 where the key is a row index (one draw per node) or ``row * V + slot`` (one draw
-per view slot). Both backends evaluate the same splitmix64-style integer mix —
-numpy on ``uint64`` arrays with silent wraparound, pure Python with explicit
-``& MASK64`` — so the draws are bit-identical whether or not numpy is installed,
-and independent of any evaluation order. The engine's 64-bit seed is taken from
-its injected ``random.Random`` once, at construction, which keeps the repo-wide
-"one injected RNG per component" custody rule intact.
+per view slot). The same splitmix64-style integer mix has a numpy form on
+``uint64`` arrays with silent wraparound (the shuffle pass) and a scalar form
+with explicit ``& MASK64`` (Gozar parent recruitment, and the sequential spec
+the vector form is tested against), so a draw is the same bits either way and
+independent of any evaluation order. The engine's 64-bit seed is taken from its
+injected ``random.Random`` at construction, which keeps the repo-wide "one
+injected RNG per component" custody rule intact.
 
 Uniforms use the standard 53-bit construction ``(h >> 11) * 2**-53``; the
-``uint64 -> float64`` conversion is exact below 2**53, so the numpy and scalar
+``uint64 -> float64`` conversion is exact below 2**53, so the vector and scalar
 floats match bit for bit.
 """
 

@@ -293,7 +293,7 @@ class ColumnarNetwork:
 class ColumnarScenario:
     """A complete column-backed deployment of one peer-sampling protocol."""
 
-    def __init__(self, config, use_numpy: Optional[bool] = None) -> None:
+    def __init__(self, config) -> None:
         config.validate()
         if config.engine != "columnar":
             raise ConfigurationError(
@@ -335,7 +335,6 @@ class ColumnarScenario:
             ),
             keepalive_fanout=getattr(self._pss_config, "keepalive_fanout", 20),
             bootstrap_seed_size=self.bootstrap_seed_size,
-            use_numpy=use_numpy,
         )
         self.monitor = ColumnarTrafficMonitor(self.engine)
         loss = None

@@ -24,10 +24,10 @@ E–G. **Partner handling** — delivered exchanges, ordered by ``(partner,
    initiator)``: the reply subset is drawn from the partner's *current* view
    (keyed by ``initiator * V + slot``), the request is merged in, and the
    response estimate bundle is built from the post-ingest cache — the object
-   protocol's request-handler order. The numpy path executes the sequence as
-   *waves* (one exchange per partner per wave, so batched rows are distinct);
-   within a wave no two exchanges share a partner, so wave order equals the
-   fallback's sequential order. Replies must not come from a pre-round
+   protocol's request-handler order. The sequence executes as *waves* (one
+   exchange per partner per wave, so batched rows are distinct); within a wave
+   no two exchanges share a partner, so wave order equals the sequential
+   ``(partner, initiator)`` order. Replies must not come from a pre-round
    snapshot: a popular partner would send every requester the same entries,
    which degenerates the overlay at scale.
 H. **Responses** — ascending initiator order: size/tx accounting, response
@@ -35,10 +35,9 @@ H. **Responses** — ascending initiator order: size/tx accounting, response
    one batched merge into the (all-distinct) initiator rows.
 
 Every random decision is a position-keyed counter draw (see
-:mod:`repro.columnar.rng`), so the numpy and pure-array paths are bit-identical
-by construction, independent of evaluation order.
+:mod:`repro.columnar.rng`), so results are independent of evaluation order.
 
-The merge rule (both paths): snapshot the pre-merge view; each received entry
+The merge rule: snapshot the pre-merge view; each received entry
 (skipping negatives and the row's own id) first tries to *refresh* the slot
 whose snapshot id matches (age becomes the min); unmatched entries are placed,
 in received order, into ascending snapshot-empty slots, then over sent entries
@@ -48,13 +47,13 @@ matching the object backend's sequential ``updateView``.
 
 Gozar and Nylon NAT maintenance (:func:`maintain_parents`,
 :func:`send_keepalives`) runs as a single shared scalar pass — it is O(private
-rows), far off the hot path, and trivially backend-identical. Maintenance
-traffic ignores loss and partitions (documented delta).
+rows) and far off the hot path. Maintenance traffic ignores loss and partitions
+(documented delta).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict
 
 from repro.columnar import backend
 from repro.columnar import rng as crng
@@ -69,9 +68,9 @@ HEADER_BYTES = 12
 CONTROL_BYTES = 16
 PARENT_ADDR_BYTES = 6
 
-#: Drop-reason fold order: both backends accumulate counts locally during the
-#: pass and fold them into ``engine.drops`` in this fixed order, so the dict's
-#: insertion order (and therefore canonical JSON) is backend-independent.
+#: Drop-reason fold order: the pass accumulates counts locally and folds them
+#: into ``engine.drops`` in this fixed order, so the dict's insertion order (and
+#: therefore canonical JSON) never depends on which drops happened first.
 DROP_REASONS = (
     "lost_in_transit",
     "partitioned",
@@ -84,10 +83,7 @@ DROP_REASONS = (
 
 def run_shuffle_round(eng) -> None:
     """Execute the current round's full shuffle pass on ``eng``."""
-    if eng.use_numpy:
-        _shuffle_numpy(eng)
-    else:
-        _shuffle_fallback(eng)
+    _shuffle_numpy(eng)
 
 
 def _fold_drops(eng, local: Dict[str, int]) -> None:
@@ -98,299 +94,7 @@ def _fold_drops(eng, local: Dict[str, int]) -> None:
 
 
 # ---------------------------------------------------------------------------
-# pure-array fallback
-# ---------------------------------------------------------------------------
-
-
-def _subset_fb(
-    eng, vid, vage, view_row: int, key_row: int, stream_base: int,
-    want: int, exclude: int, add_self: bool,
-) -> Tuple[List[int], List[int], List[int]]:
-    """Keyed subset of one row's view: (slots, ids, ages) in (key, slot) order.
-
-    Ineligible slots participate with the ``MASK64`` sentinel key (identical to
-    the numpy path, including the astronomically-unlikely key collision)."""
-    V = eng.V
-    base = view_row * V
-    keyed = []
-    eligible = 0
-    for slot in range(V):
-        nid = vid[base + slot]
-        if nid >= 0 and nid != exclude:
-            keyed.append((crng.draw(stream_base, key_row * V + slot), slot))
-            eligible += 1
-        else:
-            keyed.append((crng.MASK64, slot))
-    keyed.sort()
-    count = min(want, eligible) if want > 0 else 0
-    slots = [keyed[j][1] for j in range(count)]
-    ids = [vid[base + s] for s in slots]
-    ages = [vage[base + s] for s in slots]
-    if add_self:
-        slots.append(-1)
-        ids.append(view_row)
-        ages.append(0)
-    return slots, ids, ages
-
-
-def _merge_row(
-    eng, vid, vage, vaux, row: int,
-    rec_ids, rec_ages, aux_value: int,
-    sent_ids, sent_slots,
-) -> None:
-    """The batched-merge rule applied to one row (see the module docstring)."""
-    V = eng.V
-    base = row * V
-    snap = vid[base : base + V]
-    matched = [False] * len(rec_ids)
-    for j, nid in enumerate(rec_ids):
-        if nid < 0 or nid == row:
-            matched[j] = True  # skipped entries are never placed either
-            continue
-        for s in range(V):
-            if snap[s] == nid:
-                if rec_ages[j] < vage[base + s]:
-                    vage[base + s] = rec_ages[j]
-                if vaux is not None:
-                    vaux[base + s] = aux_value
-                matched[j] = True
-                break
-    targets = [s for s in range(V) if snap[s] < 0]
-    if sent_ids:
-        for t in range(len(sent_ids)):
-            ss = sent_slots[t]
-            if ss >= 0 and sent_ids[t] >= 0 and snap[ss] == sent_ids[t]:
-                targets.append(ss)
-    ti = 0
-    for j, nid in enumerate(rec_ids):
-        if matched[j]:
-            continue
-        if ti >= len(targets):
-            break  # no room and nothing evictable left: entry dropped
-        s = targets[ti]
-        ti += 1
-        vid[base + s] = nid
-        vage[base + s] = rec_ages[j]
-        if vaux is not None:
-            vaux[base + s] = aux_value
-
-
-def _shuffle_fallback(eng) -> None:
-    V, K = eng.V, eng.K
-    n = eng._rows
-    rnd = eng.round
-    seed = eng.hash_seed
-    proto = eng.protocol
-    estimating = eng.estimating
-    gozar = proto == "gozar"
-    nylon = proto == "nylon"
-    alive, is_public = eng.alive, eng.is_public
-    pub_id, pub_age = eng.pub_id, eng.pub_age
-    aux = eng.learned_from if nylon else None
-    if estimating:
-        priv_id, priv_age = eng.priv_id, eng.priv_age
-    P = eng.P if gozar else 0
-    parent_id = eng.parent_id if gozar else None
-    tx, rx = eng.tx_bytes, eng.rx_bytes
-    loss_pub, loss_priv = eng.loss_public, eng.loss_private
-    loss_active = loss_pub > 0.0 or loss_priv > 0.0
-    partition = eng._partition_active
-    isolated = eng.isolated
-    drops = dict.fromkeys(DROP_REASONS, 0)
-
-    # --- A: partner selection (oldest slot, keyed tie-break), slot cleared
-    base_tie = crng.stream(seed, rnd, crng.TAG_TIE)
-    inits: List[Tuple[int, int, int]] = []
-    for i in range(1, n):
-        if not alive[i]:
-            continue
-        base = i * V
-        best = -1
-        ties: List[int] = []
-        for slot in range(V):
-            if pub_id[base + slot] < 0:
-                continue
-            age = pub_age[base + slot]
-            if age > best:
-                best = age
-                ties = [slot]
-            elif age == best:
-                ties.append(slot)
-        if not ties:
-            continue  # empty view: round skipped (bootstrap starvation/churn)
-        slot = ties[crng.draw(base_tie, i) % len(ties)]
-        partner = pub_id[base + slot]
-        rvp = aux[base + slot] if aux is not None else -1
-        pub_id[base + slot] = -1
-        pub_age[base + slot] = 0
-        if aux is not None:
-            aux[base + slot] = -1
-        inits.append((i, partner, rvp))
-
-    # --- B: request subsets from the post-selection views
-    base_req_pub = crng.stream(seed, rnd, crng.TAG_REQ_PUB)
-    base_req_priv = crng.stream(seed, rnd, crng.TAG_REQ_PRIV) if estimating else 0
-    requests = []
-    for i, _partner, _rvp in inits:
-        i_public = is_public[i] != 0
-        if estimating:
-            if i_public:
-                req_pub = _subset_fb(eng, pub_id, pub_age, i, i, base_req_pub,
-                                     K - 1, -1, True)
-                req_priv = _subset_fb(eng, priv_id, priv_age, i, i, base_req_priv,
-                                      K, -1, False)
-            else:
-                req_pub = _subset_fb(eng, pub_id, pub_age, i, i, base_req_pub,
-                                     K, -1, False)
-                req_priv = _subset_fb(eng, priv_id, priv_age, i, i, base_req_priv,
-                                      K - 1, -1, True)
-        else:
-            req_pub = _subset_fb(eng, pub_id, pub_age, i, i, base_req_pub,
-                                 K - 1, -1, True)
-            req_priv = None
-        requests.append((req_pub, req_priv))
-
-    # --- C: delivery filtering (+ request-size accounting)
-    base_loss_req = crng.stream(seed, rnd, crng.TAG_LOSS_REQ)
-    base_relay_req = crng.stream(seed, rnd, crng.TAG_RELAY_REQ) if gozar else 0
-    delivered = []
-    for (i, partner, rvp), (req_pub, req_priv) in zip(inits, requests):
-        n_desc = len(req_pub[1]) + (len(req_priv[1]) if req_priv is not None else 0)
-        if estimating:
-            bundle_i = eng._estimate_bundle(i)
-            size = HEADER_BYTES + n_desc * DESCRIPTOR_BYTES + len(bundle_i) * ESTIMATE_BYTES
-        else:
-            bundle_i = None
-            size = HEADER_BYTES + n_desc * DESCRIPTOR_BYTES
-        if gozar:
-            npriv = sum(1 for d in req_pub[1] if d >= 0 and not is_public[d])
-            size += npriv * P * PARENT_ADDR_BYTES
-        eng.packets_sent += 1
-        tx[i] += size
-        i_public = is_public[i] != 0
-        if loss_active and crng.draw_uniform(base_loss_req, i) < (
-            loss_pub if i_public else loss_priv
-        ):
-            drops["lost_in_transit"] += 1
-            continue
-        if partition and isolated[i] != isolated[partner]:
-            drops["partitioned"] += 1
-            continue
-        if not alive[partner]:
-            drops["dead_partner"] += 1
-            continue
-        if not is_public[partner]:
-            if gozar:
-                pb = partner * P
-                live_par = [s for s in range(P)
-                            if parent_id[pb + s] >= 0 and alive[parent_id[pb + s]]]
-                if not live_par:
-                    drops["no_relay_parent"] += 1
-                    continue
-                relay = parent_id[pb + live_par[crng.draw(base_relay_req, i) % len(live_par)]]
-                rx[relay] += size
-                tx[relay] += size
-                eng.packets_sent += 1
-            elif nylon:
-                if rvp < 0 or not alive[rvp]:
-                    drops["broken_chain"] += 1
-                    continue
-                # hole punch: i -> rvp -> partner, then partner pings i
-                tx[i] += CONTROL_BYTES
-                rx[rvp] += CONTROL_BYTES
-                tx[rvp] += CONTROL_BYTES
-                rx[partner] += CONTROL_BYTES
-                tx[partner] += CONTROL_BYTES
-                rx[i] += CONTROL_BYTES
-                eng.packets_sent += 3
-            else:
-                drops["nat_filtered"] += 1
-                continue
-        rx[partner] += size
-        delivered.append((i, partner, req_pub, req_priv, bundle_i))
-
-    # --- D: estimator counters by initiator class
-    if estimating:
-        cur_cu, cur_cv = eng.cur_cu, eng.cur_cv
-        for i, partner, _rp, _rq, _b in delivered:
-            if is_public[i]:
-                cur_cu[partner] += 1
-            else:
-                cur_cv[partner] += 1
-
-    # --- E+F+G: per-exchange partner handling in (partner, initiator) order —
-    # the reply subset is drawn from the partner's *current* view (reflecting
-    # this round's earlier request merges into it), then the request is merged
-    # and the response bundle built from the post-ingest estimate cache. This
-    # is exactly the object protocol's request-handler order; drawing all
-    # replies from a pre-round snapshot instead degenerates the overlay at
-    # scale (a popular partner would send every requester the same entries).
-    base_rep_pub = crng.stream(seed, rnd, crng.TAG_REPLY_PUB)
-    base_rep_priv = crng.stream(seed, rnd, crng.TAG_REPLY_PRIV) if estimating else 0
-    order = sorted(range(len(delivered)), key=lambda x: (delivered[x][1], delivered[x][0]))
-    replies: List[Optional[tuple]] = [None] * len(delivered)
-    bundles: List[Optional[list]] = [None] * len(delivered)
-    for x in order:
-        i, partner, req_pub, req_priv, bundle_i = delivered[x]
-        reply_pub = _subset_fb(eng, pub_id, pub_age, partner, i, base_rep_pub,
-                               K, i, False)
-        reply_priv = (
-            _subset_fb(eng, priv_id, priv_age, partner, i, base_rep_priv, K, i, False)
-            if estimating else None
-        )
-        replies[x] = (reply_pub, reply_priv)
-        _merge_row(eng, pub_id, pub_age, aux, partner,
-                   req_pub[1], req_pub[2], i, reply_pub[1], reply_pub[0])
-        if estimating:
-            _merge_row(eng, priv_id, priv_age, None, partner,
-                       req_priv[1], req_priv[2], i, reply_priv[1], reply_priv[0])
-            eng._ingest_estimates(partner, bundle_i)
-            bundles[x] = eng._estimate_bundle(partner)
-
-    # --- H: responses, ascending initiator order
-    base_loss_resp = crng.stream(seed, rnd, crng.TAG_LOSS_RESP)
-    base_relay_resp = crng.stream(seed, rnd, crng.TAG_RELAY_RESP) if gozar else 0
-    for x, (i, partner, req_pub, req_priv, _b) in enumerate(delivered):
-        reply_pub, reply_priv = replies[x]
-        n_desc = len(reply_pub[1]) + (len(reply_priv[1]) if reply_priv is not None else 0)
-        size = HEADER_BYTES + n_desc * DESCRIPTOR_BYTES
-        if estimating:
-            size += len(bundles[x]) * ESTIMATE_BYTES
-        if gozar:
-            npriv = sum(1 for d in reply_pub[1] if d >= 0 and not is_public[d])
-            size += npriv * P * PARENT_ADDR_BYTES
-        eng.packets_sent += 1
-        tx[partner] += size
-        p_public = is_public[partner] != 0
-        if loss_active and crng.draw_uniform(base_loss_resp, i) < (
-            loss_pub if p_public else loss_priv
-        ):
-            drops["lost_in_transit"] += 1
-            continue
-        if gozar and not is_public[i]:
-            ib = i * P
-            live_par = [s for s in range(P)
-                        if parent_id[ib + s] >= 0 and alive[parent_id[ib + s]]]
-            if not live_par:
-                drops["no_relay_parent"] += 1
-                continue
-            relay = parent_id[ib + live_par[crng.draw(base_relay_resp, i) % len(live_par)]]
-            rx[relay] += size
-            tx[relay] += size
-            eng.packets_sent += 1
-        rx[i] += size
-        _merge_row(eng, pub_id, pub_age, aux, i,
-                   reply_pub[1], reply_pub[2], partner, req_pub[1], req_pub[0])
-        if estimating:
-            _merge_row(eng, priv_id, priv_age, None, i,
-                       reply_priv[1], reply_priv[2], partner, req_priv[1], req_priv[0])
-            eng._ingest_estimates(i, bundles[x])
-
-    _fold_drops(eng, drops)
-
-
-# ---------------------------------------------------------------------------
-# numpy fast path
+# the batched pass
 # ---------------------------------------------------------------------------
 
 
@@ -398,9 +102,10 @@ def _subsets_np(np, view_ids, view_ages, slotkeys, stream_base, want,
                 exclude, self_mask, self_ids, width):
     """Batched keyed-subset selection over gathered ``(M, V)`` view snapshots.
 
-    Mirrors :func:`_subset_fb` per row: sentinel keys for ineligible slots, a
-    stable argsort (== (key, slot) order), first ``min(want, eligible)`` taken,
-    then the optional self descriptor appended at column ``cnt``."""
+    Per row: every eligible slot gets a keyed draw and ineligible slots the
+    ``MASK64`` sentinel; a stable argsort (== (key, slot) order) ranks them, the
+    first ``min(want, eligible)`` are taken, then the optional self descriptor
+    is appended at column ``cnt``."""
     elig = view_ids >= 0
     if exclude is not None:
         elig &= view_ids != exclude[:, None]
@@ -849,7 +554,7 @@ def _shuffle_numpy(eng) -> None:
 
 
 # ---------------------------------------------------------------------------
-# NAT maintenance phases (shared scalar pass; off the hot path)
+# NAT maintenance phases (scalar passes; off the hot path)
 # ---------------------------------------------------------------------------
 
 

@@ -14,14 +14,12 @@ Layout mirrors the protocol plugin stack: a rule registry
 AST contexts (:mod:`repro.lint.context`), rule modules under
 :mod:`repro.lint.rules`, the committed-allowlist escape hatch
 (:mod:`repro.lint.allowlist`) and the engine (:mod:`repro.lint.engine`). The
-interprocedural RNG-custody taint pass lives in :mod:`repro.lint.dataflow`, the
-incremental cache in :mod:`repro.lint.cache` and the SARIF renderer in
-:mod:`repro.lint.sarif`. Rules and policy tiers are documented in
+interprocedural RNG-custody taint pass lives in :mod:`repro.lint.dataflow` and
+the SARIF renderer in :mod:`repro.lint.sarif`. Rules and policy tiers are documented in
 ``docs/determinism_lint.md``.
 """
 
 from repro.lint.allowlist import ALLOWLIST_FILENAME, Allowlist
-from repro.lint.cache import CACHE_FILENAME, LintCache, ruleset_fingerprint
 from repro.lint.context import FileContext, LintError, ModuleResolver
 from repro.lint.engine import changed_files, collect_files, run_lint
 from repro.lint.findings import LINT_SCHEMA, Finding, LintReport
@@ -39,11 +37,9 @@ from repro.lint.registry import (
 __all__ = [
     "ALLOWLIST_FILENAME",
     "Allowlist",
-    "CACHE_FILENAME",
     "FileContext",
     "Finding",
     "LINT_SCHEMA",
-    "LintCache",
     "LintError",
     "LintReport",
     "LintRule",
@@ -56,7 +52,6 @@ __all__ = [
     "register_rule",
     "report_to_sarif",
     "rule_ids",
-    "ruleset_fingerprint",
     "run_lint",
     "to_sarif_json",
     "unregister_rule",

@@ -35,12 +35,6 @@ from pathlib import Path
 from typing import Iterable, List, Optional, Sequence
 
 from repro.lint.allowlist import Allowlist
-from repro.lint.cache import (
-    CachedContext,
-    CachedSuppression,
-    LintCache,
-    file_digest,
-)
 from repro.lint.context import FileContext, LintError
 from repro.lint.findings import Finding, LintReport, SEVERITY_ERROR
 from repro.lint.policy import normalize_path_suffix
@@ -135,7 +129,6 @@ def _lint_one(
     rules,
     allowlist: Allowlist,
     base_dir: Optional[Path],
-    cache: Optional[LintCache] = None,
 ) -> LintReport:
     report = LintReport(files_checked=1, rules_run=tuple(rule.id for rule in rules))
     shown = display_path(path, base_dir)
@@ -143,38 +136,6 @@ def _lint_one(
         source = path.read_text()
     except OSError as error:
         raise LintError(f"cannot read {path}: {error}") from None
-
-    digest = file_digest(source.encode("utf-8")) if cache is not None else ""
-    entry = cache.lookup(shown, digest) if cache is not None else None
-    if entry is not None:
-        # Replay the cached *raw* rule output through the live suppression table
-        # and allowlist — an escape-hatch edit elsewhere must never be masked by
-        # a stale verdict, and the strict audit still sees this file.
-        raw = [Finding(**fields) for fields in entry.get("findings", ())]
-        if entry.get("parse_error"):
-            report.findings.extend(raw)
-            return report
-        replay = CachedContext(
-            shown,
-            [
-                CachedSuppression(
-                    int(record["line"]),
-                    int(record["target_line"]),
-                    record["rules"],
-                    str(record.get("scope", "<module>")),
-                )
-                for record in entry.get("suppressions", ())
-            ],
-        )
-        for finding in raw:
-            if replay.is_suppressed(finding.line, finding.rule):
-                report.suppressed += 1
-            elif allowlist.allows(finding):
-                report.allowlisted += 1
-            else:
-                report.findings.append(finding)
-        report._context = replay  # type: ignore[attr-defined]  # strict-audit hook
-        return report
 
     try:
         context = FileContext(path, shown, source)
@@ -188,31 +149,11 @@ def _lint_one(
             severity=SEVERITY_ERROR,
         )
         report.findings.append(finding)
-        if cache is not None:
-            cache.store(
-                shown, digest, [finding.to_json_dict()], [], parse_error=True
-            )
         return report
 
     raw = []
     for rule in rules:
         raw.extend(rule.check(context))
-
-    if cache is not None:
-        cache.store(
-            shown,
-            digest,
-            [finding.to_json_dict() for finding in raw],
-            [
-                {
-                    "line": suppression.line,
-                    "target_line": suppression.target_line,
-                    "rules": list(suppression.rules),
-                    "scope": context.scope_at(suppression.line),
-                }
-                for suppression in context.suppressions
-            ],
-        )
 
     for finding in raw:
         if context.is_suppressed(finding.line, finding.rule):
@@ -232,7 +173,6 @@ def run_lint(
     strict: bool = False,
     allowlist: Optional[Allowlist] = None,
     base_dir: Optional[Path] = None,
-    cache: Optional[LintCache] = None,
 ) -> LintReport:
     """Lint ``paths`` (files or directories) and return the merged report.
 
@@ -240,8 +180,6 @@ def run_lint(
     ids raise :class:`LintError`. ``strict`` adds the escape-hatch audit
     findings described in the module docstring. ``allowlist`` defaults to
     discovery (walking up from the first path for ``.repro-lint-allow``).
-    ``cache`` (a pre-loaded :class:`~repro.lint.cache.LintCache`) replays rule
-    output for content-unchanged files and is saved back when the run ends.
     """
     load_builtin_rules()
     if rules is None:
@@ -259,7 +197,7 @@ def run_lint(
     merged = LintReport(rules_run=tuple(rule.id for rule in selected))
     contexts: List[FileContext] = []
     for file in files:
-        report = _lint_one(file, selected, allowlist, base_dir, cache)
+        report = _lint_one(file, selected, allowlist, base_dir)
         context = getattr(report, "_context", None)
         if context is not None:
             contexts.append(context)
@@ -272,9 +210,6 @@ def run_lint(
         merged.findings.extend(
             _strict_audit(contexts, allowlist, full_run=full_run)
         )
-    if cache is not None:
-        cache.save()
-        merged._cache = cache  # type: ignore[attr-defined]  # hit/miss telemetry
     return merged
 
 

@@ -38,10 +38,9 @@ CANONICAL_MODULES: Tuple[str, ...] = (
     "repro/columnar/streaming.py",
 )
 
-#: Modules holding the columnar engine's dual execution paths: every per-row
-#: phase must run vectorized under numpy with a ``use_numpy``-guarded pure-array
-#: mirror (the PR 7/9 bit-parity contract). The ``hotloop-python-scan``,
-#: ``hotloop-alloc`` and ``fallback-parity`` rules fire only here.
+#: Modules holding the columnar engine's hot path: every per-row phase must run
+#: vectorized under numpy. The ``hotloop-python-scan`` and ``hotloop-alloc``
+#: rules fire only here.
 VECTORIZED_MODULES: Tuple[str, ...] = (
     "repro/columnar/engine.py",
     "repro/columnar/shuffle.py",

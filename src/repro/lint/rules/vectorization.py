@@ -1,50 +1,33 @@
 """Vectorization discipline for the columnar hot path.
 
-The columnar engine's contract (PR 7/9) is *dual execution*: every phase has a
-numpy fast path and a bit-identical pure-array fallback, selected by
-``use_numpy`` / ``HAVE_NUMPY`` guards. These rules fire only in the
-:data:`~repro.lint.policy.VECTORIZED_MODULES` tier and enforce the two halves
-of that contract:
+The columnar engine runs every per-row phase as whole-column numpy operations.
+These rules fire only in the :data:`~repro.lint.policy.VECTORIZED_MODULES` tier
+and keep it that way:
 
 ``hotloop-python-scan``
-    A per-row Python loop (``for row in range(self._rows)`` and friends)
-    *outside* a sanctioned fallback region. Per-row Python on the hot path is
-    the 10^5-node scaling bug PR 9 vectorized away; new scans belong on the
-    numpy path with a guarded fallback mirror (or in the committed allowlist
-    with a written justification, for documented off-hot-path passes).
+    A per-row Python loop (``for row in range(self._rows)`` and friends).
+    Per-row Python on the hot path is the 10^5-node scaling bug the batched
+    shuffle vectorized away; new scans belong on the numpy path (or in the
+    committed allowlist with a written justification, for documented
+    off-hot-path passes).
 
 ``hotloop-alloc``
     A row-scaled numpy allocation (``np.full(rows.size, ...)`` etc.) inside a
     loop. Per-iteration row-scaled allocations turn an O(rows) pass into
     O(waves x rows) allocator traffic — hoist the buffer or pass a scalar.
 
-``fallback-parity``
-    A numpy-guarded branch with no pure-array mirror: either the guarded body
-    flows back into shared code (numpy-only side effects), or it returns while
-    the guard-less path falls off the end. This is how numpy/fallback
-    bit-parity silently dies; every guard needs an ``else``/trailing fallback.
-
-Sanctioned fallback regions (where per-row loops are *expected*):
-
-* the ``else`` of a positive guard (``if use_numpy: ... else: <loops ok>``);
-* statements after a positive guard whose body ends in ``return``/``raise``;
-* the body of a negative guard (``if not use_numpy: <loops ok>``);
-* whole functions reachable only from fallback regions (``_shuffle_fallback``
-  and its helpers), computed as a fixpoint over the module's call graph.
+The committed allowlist is the only exemption besides inline suppressions.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, List, Optional, Set, Tuple
+from typing import List, Optional, Set, Tuple
 
 from repro.lint.context import FileContext
 from repro.lint.findings import Finding
 from repro.lint.policy import is_vectorized_module
 from repro.lint.registry import register_rule
-
-#: Names whose truthiness selects the numpy fast path.
-_GUARD_NAMES = frozenset({"use_numpy", "HAVE_NUMPY"})
 
 #: Attribute names that measure the row extent of the engine.
 _ROW_ATTRS = frozenset({"_rows", "rows", "_cap"})
@@ -83,121 +66,6 @@ def _finding(context: FileContext, node: ast.AST, rule: str, message: str) -> Fi
         message=message,
         scope=context.scope_at(node.lineno),
     )
-
-
-def _guard_polarity(test: ast.AST) -> Optional[bool]:
-    """True for ``if <numpy-guard>:``, False for ``if not <numpy-guard>:``."""
-    if isinstance(test, ast.UnaryOp) and isinstance(test.op, ast.Not):
-        inner = _guard_polarity(test.operand)
-        return None if inner is None else not inner
-    name = None
-    if isinstance(test, ast.Attribute):
-        name = test.attr
-    elif isinstance(test, ast.Name):
-        name = test.id
-    return True if name in _GUARD_NAMES else None
-
-
-def _terminates(body: List[ast.stmt]) -> bool:
-    return bool(body) and isinstance(body[-1], (ast.Return, ast.Raise))
-
-
-def _span(nodes: List[ast.stmt]) -> Tuple[int, int]:
-    start = nodes[0].lineno
-    end = max(getattr(node, "end_lineno", node.lineno) or node.lineno
-              for node in nodes)
-    return start, end
-
-
-class FallbackMap:
-    """Sanctioned fallback regions of one module (see module docstring)."""
-
-    def __init__(self, context: FileContext) -> None:
-        self.context = context
-        self.regions: List[Tuple[int, int]] = []
-        self.guarded_ifs: List[Tuple[ast.If, bool]] = []  # (node, polarity)
-        self._functions: Dict[str, ast.AST] = {}
-        self._visit_block(context.tree.body)
-        for node in ast.walk(context.tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                self._functions.setdefault(node.name, node)
-        self.fallback_only = self._fallback_only_functions()
-
-    def _visit_block(self, body: List[ast.stmt]) -> None:
-        for index, stmt in enumerate(body):
-            if isinstance(stmt, ast.If):
-                polarity = _guard_polarity(stmt.test)
-                if polarity is not None:
-                    self.guarded_ifs.append((stmt, polarity))
-                if polarity is True:
-                    if stmt.orelse:
-                        self.regions.append(_span(stmt.orelse))
-                    elif _terminates(stmt.body) and index + 1 < len(body):
-                        self.regions.append(_span(body[index + 1 :]))
-                elif polarity is False:
-                    self.regions.append(_span(stmt.body))
-            for child_body in self._child_blocks(stmt):
-                self._visit_block(child_body)
-
-    @staticmethod
-    def _child_blocks(stmt: ast.stmt) -> List[List[ast.stmt]]:
-        blocks: List[List[ast.stmt]] = []
-        for field in ("body", "orelse", "finalbody"):
-            block = getattr(stmt, field, None)
-            if block:
-                blocks.append(block)
-        for handler in getattr(stmt, "handlers", []) or []:
-            blocks.append(handler.body)
-        return blocks
-
-    def _in_region(self, line: int) -> bool:
-        return any(start <= line <= end for start, end in self.regions)
-
-    def _fallback_only_functions(self) -> Set[str]:
-        """Functions every one of whose call sites sits in a fallback region
-        (or in another fallback-only function) — ``_shuffle_fallback`` and its
-        helpers. Computed as a shrinking fixpoint from "called at least once"."""
-        sites: Dict[str, List[int]] = {}
-        for node in ast.walk(self.context.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            name = None
-            if isinstance(node.func, ast.Name):
-                name = node.func.id
-            elif isinstance(node.func, ast.Attribute):
-                name = node.func.attr
-            if name in self._functions:
-                sites.setdefault(name, []).append(node.lineno)
-        candidates = set(sites)
-        while True:
-            kept = set()
-            for name in candidates:
-                if all(
-                    self._in_region(line)
-                    or any(
-                        self._encloses(self._functions[other], line)
-                        for other in candidates
-                        if other != name
-                    )
-                    for line in sites[name]
-                ):
-                    kept.add(name)
-            if kept == candidates:
-                return kept
-            candidates = kept
-
-    @staticmethod
-    def _encloses(func: ast.AST, line: int) -> bool:
-        end = getattr(func, "end_lineno", func.lineno) or func.lineno
-        return func.lineno <= line <= end
-
-    def sanctioned(self, line: int) -> bool:
-        if self._in_region(line):
-            return True
-        return any(
-            self._encloses(self._functions[name], line)
-            for name in self.fallback_only
-        )
 
 
 # --------------------------------------------------------------- row extent
@@ -279,7 +147,6 @@ def _walk_scope(body: List[ast.stmt]):
 def check_hotloop_python_scan(context: FileContext) -> List[Finding]:
     if not is_vectorized_module(context.display_path):
         return []
-    fallback = FallbackMap(context)
     findings: List[Finding] = []
     for body, _func in _scopes(context):
         env = _row_env(body)
@@ -293,16 +160,13 @@ def check_hotloop_python_scan(context: FileContext) -> List[Finding]:
                 iterable = node.generators[0].iter
             if iterable is None or not _row_scaled_iter(iterable, env):
                 continue
-            if fallback.sanctioned(node.lineno):
-                continue
             findings.append(
                 _finding(
                     context,
                     node,
                     "hotloop-python-scan",
-                    "per-row Python loop outside a sanctioned fallback branch; "
-                    "move this scan onto the numpy path with a use_numpy-guarded "
-                    "pure-array mirror (vectorized-module tier)",
+                    "per-row Python loop on the vectorized hot path; move this "
+                    "scan onto the numpy path (vectorized-module tier)",
                 )
             )
     return findings
@@ -311,7 +175,6 @@ def check_hotloop_python_scan(context: FileContext) -> List[Finding]:
 def check_hotloop_alloc(context: FileContext) -> List[Finding]:
     if not is_vectorized_module(context.display_path):
         return []
-    fallback = FallbackMap(context)
     findings: List[Finding] = []
     for body, _func in _scopes(context):
         env = _row_env(body)
@@ -341,7 +204,7 @@ def check_hotloop_alloc(context: FileContext) -> List[Finding]:
                 start < node.lineno <= end and node.lineno > start
                 for start, end in loops
             )
-            if not inside or fallback.sanctioned(node.lineno):
+            if not inside:
                 continue
             findings.append(
                 _finding(
@@ -363,69 +226,16 @@ def _has_size_attr(node: ast.AST) -> bool:
     )
 
 
-def check_fallback_parity(context: FileContext) -> List[Finding]:
-    if not is_vectorized_module(context.display_path):
-        return []
-    fallback = FallbackMap(context)
-    findings: List[Finding] = []
-    for stmt, polarity in fallback.guarded_ifs:
-        if polarity is not True:
-            continue  # ``if not use_numpy:`` declares the fallback explicitly
-        if stmt.orelse:
-            continue
-        if len(stmt.body) == 1 and isinstance(stmt.body[0], ast.Raise):
-            continue  # loud guard validation, not a silent divergence
-        parent_block = _enclosing_block(context.tree, stmt)
-        trailing = _has_trailing(parent_block, stmt)
-        if _terminates(stmt.body) and trailing:
-            continue  # the sanctioned ``if guard: ...; return`` + fallback shape
-        if _terminates(stmt.body):
-            message = (
-                "numpy-guarded branch returns but nothing follows for the "
-                "pure-array path, which falls off the end; add the fallback "
-                "mirror after the guard"
-            )
-        else:
-            message = (
-                "numpy-guarded branch re-joins shared code with no else: its "
-                "side effects have no pure-array mirror, so numpy and fallback "
-                "runs diverge; add the else branch"
-            )
-        findings.append(_finding(context, stmt, "fallback-parity", message))
-    return findings
-
-
-def _enclosing_block(tree: ast.Module, stmt: ast.stmt) -> List[ast.stmt]:
-    """The statement list that directly contains ``stmt``."""
-    result: List[List[ast.stmt]] = [tree.body]
-
-    def visit(block: List[ast.stmt]) -> None:
-        if stmt in block:
-            result[0] = block
-            return
-        for item in block:
-            for child_block in FallbackMap._child_blocks(item):
-                visit(child_block)
-
-    visit(tree.body)
-    return result[0]
-
-
-def _has_trailing(block: List[ast.stmt], stmt: ast.stmt) -> bool:
-    index = block.index(stmt) if stmt in block else -1
-    return 0 <= index < len(block) - 1
-
-
 register_rule(
     "hotloop-python-scan",
     check_hotloop_python_scan,
     description=(
-        "no per-row Python loops outside fallback branches (vectorized tier)"
+        "no per-row Python loops (vectorized tier)"
     ),
     rationale=(
         "the columnar engine holds 10^5-node rounds to array speed (PR 7/9); a "
-        "per-row Python scan on the guarded-numpy hot path is the scaling "
-        "regression the scale-smoke budget would catch three stages later"
+        "per-row Python scan on the hot path is the scaling regression the "
+        "scale-smoke budget would catch three stages later"
     ),
 )
 
@@ -438,18 +248,5 @@ register_rule(
     rationale=(
         "PR 9's wave loop showed per-wave O(rows) allocations dominate at "
         "10^5 nodes; buffers are hoisted once or replaced by scalars"
-    ),
-)
-
-register_rule(
-    "fallback-parity",
-    check_fallback_parity,
-    description=(
-        "every numpy-guarded branch needs a pure-array mirror (vectorized tier)"
-    ),
-    rationale=(
-        "CI byte-compares numpy and REPRO_NO_NUMPY=1 runs (PR 7); a guarded "
-        "branch without an else/trailing fallback is how that parity silently "
-        "dies"
     ),
 )

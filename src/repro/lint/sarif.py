@@ -9,8 +9,7 @@ rationale, every finding a ``result`` with a single physical location.
 The document is deterministic for a given report: rules sort by id, results
 follow :meth:`~repro.lint.findings.LintReport.sorted_findings`, and the JSON is
 dumped with sorted keys — the same canonical-bytes discipline the linter
-enforces on the repo (and what makes the cold/warm cache parity check in CI a
-byte comparison).
+enforces on the repo.
 """
 
 from __future__ import annotations

@@ -1,9 +1,12 @@
-"""Columnar engine tests: flat-array protocol state, backend bit-parity, the
-engine axis of the experiment matrix, and the ``scale`` scenario kind.
+"""Columnar engine tests: flat-array protocol state, pinned state fingerprints,
+the engine axis of the experiment matrix, and the ``scale`` scenario kind.
 
 The load-bearing invariants:
 
-* numpy and pure-array backends produce **bit-identical** state (fingerprints);
+* every protocol's state after a fixed script hashes to a pinned fingerprint,
+  and the vectorized phases equal their scalar specs entry by entry;
+* the engine needs numpy and says so in one clear error when it is missing
+  (every other test here skips without numpy);
 * the engine axis is additive — cells at ``engine="object"`` keep their exact
   pre-axis keys, so no legacy derived seed moves;
 * the columnar scenario implements the capability API, so probes, timelines and
@@ -13,11 +16,13 @@ The load-bearing invariants:
 
 import copy
 import math
+import random
 
 import pytest
 
 from repro.columnar import COLUMNAR_PROTOCOLS, ColumnarEngine, ColumnarScenario
-from repro.columnar.backend import HAVE_NUMPY
+from repro.columnar import backend
+from repro.columnar import rng as crng
 from repro.errors import ConfigurationError, ExperimentError
 from repro.membership.capabilities import NatAware, OverlaySampling, RatioEstimating
 from repro.metrics.probes import collect_ratio_estimates
@@ -29,7 +34,42 @@ from repro.workload.scenario import (
 )
 from repro.workload.timeline import get_timeline
 
-BACKENDS = [False, True] if HAVE_NUMPY else [False]
+#: ``engine.fingerprint()`` after :func:`run_pinned_script`, per protocol. Any
+#: change is an engine-semantics change: the columnar golden moves with it.
+PINNED_FINGERPRINTS = {
+    "croupier": "e260cc7bf1f2706956e93863da9d6d8003f0955c28e292b60d92a5545ba1051f",
+    "cyclon": "a51e3bfc6c852b3066e60312f89cf027a332b550d364957472bc6bbcf6560a68",
+    "gozar": "f156aa980dcfc7816dbd94394b3b480334bc1430a7ac0466863f39379e02f517",
+    "nylon": "e2057371f7b4d0862b6c173c217d39b3ec9376c34fa4c44620243b59a2df72df",
+}
+
+
+@pytest.fixture
+def numpy_hidden(monkeypatch):
+    """The columnar backend as it is on a host without numpy."""
+    monkeypatch.setattr(backend, "np", None)
+
+
+@pytest.fixture(autouse=True)
+def _numpy_or_skip(request):
+    """Every test here runs the numpy engine, except those that hide numpy."""
+    if "numpy_hidden" not in request.fixturenames:
+        pytest.importorskip("numpy")
+
+
+def run_pinned_script(protocol):
+    """60 nodes (every fifth public), 25 rounds, one kill and one join at 12."""
+    engine = ColumnarEngine(
+        protocol, view_size=10, shuffle_size=5, rng=random.Random(11),
+    )
+    for index in range(60):
+        engine.add_node(public=index % 5 == 0)
+    for round_index in range(25):
+        if round_index == 12:
+            engine.kill(5)
+            engine.add_node(public=False)
+        engine.run_round()
+    return engine
 
 
 def columnar_config(seed=7, **kwargs):
@@ -38,8 +78,8 @@ def columnar_config(seed=7, **kwargs):
     return ScenarioConfig(seed=seed, engine="columnar", **kwargs)
 
 
-def make_scenario(seed=7, n_public=20, n_private=80, use_numpy=None, **kwargs):
-    scenario = ColumnarScenario(columnar_config(seed=seed, **kwargs), use_numpy=use_numpy)
+def make_scenario(seed=7, n_public=20, n_private=80, **kwargs):
+    scenario = ColumnarScenario(columnar_config(seed=seed, **kwargs))
     scenario.populate(n_public, n_private)
     return scenario
 
@@ -48,13 +88,9 @@ def make_scenario(seed=7, n_public=20, n_private=80, use_numpy=None, **kwargs):
 
 
 class TestColumnarEngine:
-    @pytest.mark.parametrize("use_numpy", BACKENDS)
-    def test_views_fill_and_age(self, use_numpy):
-        import random
-
+    def test_views_fill_and_age(self):
         engine = ColumnarEngine(
-            "croupier", view_size=10, shuffle_size=5,
-            rng=random.Random(1), use_numpy=use_numpy,
+            "croupier", view_size=10, shuffle_size=5, rng=random.Random(1),
         )
         rows = [engine.add_node(public=True) for _ in range(30)]
         for _ in range(10):
@@ -66,13 +102,9 @@ class TestColumnarEngine:
             assert row not in ids
             assert all(other in rows for other in ids)
 
-    @pytest.mark.parametrize("use_numpy", BACKENDS)
-    def test_estimates_converge(self, use_numpy):
-        import random
-
+    def test_estimates_converge(self):
         engine = ColumnarEngine(
-            "croupier", view_size=10, shuffle_size=5,
-            rng=random.Random(2), use_numpy=use_numpy,
+            "croupier", view_size=10, shuffle_size=5, rng=random.Random(2),
         )
         for index in range(100):
             engine.add_node(public=index < 20)
@@ -87,36 +119,137 @@ class TestColumnarEngine:
         assert max_err <= 1.0
 
     def test_rejects_unknown_protocol(self):
-        import random
-
         with pytest.raises(ConfigurationError):
             ColumnarEngine("newscast", view_size=10, shuffle_size=5,
                            rng=random.Random(1))
 
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="needs numpy for the comparison")
-    def test_backends_bit_identical(self):
-        """The engine's golden invariant: numpy vectorisation never changes a bit."""
-        import random
+    def test_missing_numpy_is_one_clear_error(self, numpy_hidden):
+        with pytest.raises(ConfigurationError, match=r"pip install -e \.\[columnar\]"):
+            ColumnarEngine("croupier", view_size=10, shuffle_size=5,
+                           rng=random.Random(1))
+        with pytest.raises(ConfigurationError, match="numpy"):
+            create_scenario(columnar_config())
 
-        fingerprints = []
-        for use_numpy in (False, True):
-            engine = ColumnarEngine(
-                "croupier", view_size=10, shuffle_size=5,
-                rng=random.Random(11), use_numpy=use_numpy,
-            )
-            for index in range(60):
-                engine.add_node(public=index % 5 == 0)
-            for round_index in range(25):
-                if round_index == 12:
-                    engine.kill(5)
-                    engine.add_node(public=False)
-                engine.run_round()
-            fingerprints.append(engine.fingerprint())
-        assert fingerprints[0] == fingerprints[1]
+    @pytest.mark.parametrize("protocol", COLUMNAR_PROTOCOLS)
+    def test_fingerprint_is_pinned(self, protocol):
+        """The engine's golden invariant, per protocol: the same script always
+        leaves the same state, bit for bit."""
+        assert run_pinned_script(protocol).fingerprint() == PINNED_FINGERPRINTS[protocol]
 
-    @pytest.mark.parametrize("use_numpy", BACKENDS)
-    def test_estimate_stats_equals_facade_collection(self, use_numpy):
-        scenario = make_scenario(seed=5, use_numpy=use_numpy)
+    def test_bundles_equal_the_scalar_spec(self):
+        """``_bundles_np`` is :meth:`ColumnarEngine._estimate_bundle`, batched."""
+        import numpy as np
+
+        from repro.columnar.shuffle import _bundles_np
+
+        engine = run_pinned_script("croupier")
+        rows = np.array(engine.live_rows(), dtype=np.int64)
+        origs, vals, borns, valid = _bundles_np(engine, np, rows)
+        for k, row in enumerate(rows.tolist()):
+            batched = [
+                (int(origs[k, b]), float(vals[k, b]), int(borns[k, b]))
+                for b in range(valid.shape[1]) if valid[k, b]
+            ]
+            assert batched == engine._estimate_bundle(row)
+
+    def test_batch_ingest_equals_the_scalar_spec(self):
+        """``_batch_ingest_np`` is :meth:`ColumnarEngine._ingest_estimates`
+        applied row by row: refreshes, inserts and ring evictions alike."""
+        import numpy as np
+
+        from repro.columnar.shuffle import _batch_ingest_np, _bundles_np
+
+        engine = run_pinned_script("croupier")
+        rows = np.array(engine.live_rows(), dtype=np.int64)
+        # Each row ingests its successor's bundle, twice over: the second pass
+        # meets origins the first one inserted.
+        origs, vals, borns, valid = _bundles_np(engine, np, np.roll(rows, -1))
+        batched, scalar = copy.deepcopy(engine), copy.deepcopy(engine)
+        for _ in range(2):
+            _batch_ingest_np(batched, np, rows, origs, vals, borns, valid)
+            for k, row in enumerate(rows.tolist()):
+                scalar._ingest_estimates(row, [
+                    (int(origs[k, b]), float(vals[k, b]), int(borns[k, b]))
+                    for b in range(valid.shape[1]) if valid[k, b]
+                ])
+            borns = borns + 1  # strictly fresher copies refresh in place
+        assert batched.fingerprint() == scalar.fingerprint()
+        assert batched.fingerprint() != engine.fingerprint()
+
+    def test_batch_merge_equals_the_sequential_rule(self):
+        """``_batch_merge_np`` is the merge rule of the shuffle module docstring
+        applied one row at a time: refreshes, placements into empty slots,
+        evictions over still-present sent entries, and drops."""
+        import numpy as np
+
+        from repro.columnar.backend import as_np
+        from repro.columnar.shuffle import _batch_merge_np
+
+        engine = run_pinned_script("nylon")  # nylon also carries learned_from
+        V, K, n = engine.V, engine.K, engine.rows
+        ids2d = as_np(engine.pub_id)[: n * V].reshape(n, V)
+        ages2d = as_np(engine.pub_age)[: n * V].reshape(n, V)
+        aux2d = as_np(engine.learned_from)[: n * V].reshape(n, V)
+        rows = np.array(engine.live_rows()[::2], dtype=np.int64)
+        donors = np.roll(rows, 1)
+        # Received: a donor's first K slots, an empty entry and the row itself.
+        rec_ids = np.hstack([ids2d[donors, :K], np.full((rows.size, 1), -1), rows[:, None]])
+        rec_ages = np.hstack([ages2d[donors, :K], np.zeros((rows.size, 2), dtype=np.int32)])
+        rec_aux = donors
+        # Sent: the row's first three slots, the last one stale (id changed).
+        sent_slots = np.tile(np.arange(3), (rows.size, 1))
+        sent_ids = ids2d[rows, :3].astype(np.int64)
+        sent_ids[:, 2] = np.where(sent_ids[:, 2] >= 0, sent_ids[:, 2] + 10**6, -1)
+
+        expected = [
+            (ids2d[row].tolist(), ages2d[row].tolist(), aux2d[row].tolist())
+            for row in rows.tolist()
+        ]
+        for k, row in enumerate(rows.tolist()):
+            view_ids, view_ages, view_aux = expected[k]
+            snap = list(view_ids)
+            unmatched = []
+            for nid, age in zip(rec_ids[k].tolist(), rec_ages[k].tolist()):
+                if nid < 0 or nid == row:
+                    continue
+                if nid in snap:
+                    slot = snap.index(nid)
+                    view_ages[slot] = min(view_ages[slot], age)
+                    view_aux[slot] = int(rec_aux[k])
+                else:
+                    unmatched.append((nid, age))
+            targets = [slot for slot in range(V) if snap[slot] < 0] + [
+                slot for nid, slot in zip(sent_ids[k].tolist(), sent_slots[k].tolist())
+                if nid >= 0 and snap[slot] == nid
+            ]
+            for (nid, age), slot in zip(unmatched, targets):
+                view_ids[slot], view_ages[slot] = nid, age
+                view_aux[slot] = int(rec_aux[k])
+
+        _batch_merge_np(np, ids2d, ages2d, aux2d, rows,
+                        rec_ids, rec_ages, rec_aux, sent_ids, sent_slots)
+        actual = [
+            (ids2d[row].tolist(), ages2d[row].tolist(), aux2d[row].tolist())
+            for row in rows.tolist()
+        ]
+        assert actual == expected
+
+    def test_vector_draws_equal_the_scalar_spec(self):
+        import numpy as np
+
+        keys = [0, 1, 2, 59, 12345, 2**32 + 7, 2**63 - 1, 2**64 - 1]
+        key_array = np.array(keys, dtype=np.uint64)
+        for tag in (crng.TAG_TIE, crng.TAG_LOSS_REQ, crng.TAG_PARENT):
+            base = crng.stream(0x5EED, 17, tag)
+            assert crng.draws_np(np, base, key_array).tolist() == [
+                crng.draw(base, key) for key in keys
+            ]
+            assert crng.uniforms_np(np, base, key_array).tolist() == [
+                crng.draw_uniform(base, key) for key in keys
+            ]
+
+    def test_estimate_stats_equals_facade_collection(self):
+        scenario = make_scenario(seed=5)
         scenario.run_rounds(15)
         true_ratio = scenario.true_ratio()
         measured, mean, avg_err, max_err = scenario.engine.estimate_stats(true_ratio)
@@ -127,10 +260,8 @@ class TestColumnarEngine:
         assert avg_err == sum(deviations) / len(deviations)
         assert max_err == max(deviations)
 
-    @pytest.mark.parametrize("use_numpy", BACKENDS)
-    def test_in_degree_histogram_counts_live_edges(self, use_numpy):
-        scenario = make_scenario(seed=6, n_public=10, n_private=30,
-                                 use_numpy=use_numpy)
+    def test_in_degree_histogram_counts_live_edges(self):
+        scenario = make_scenario(seed=6, n_public=10, n_private=30)
         scenario.run_rounds(10)
         histogram = scenario.engine.in_degree_histogram().to_histogram()
         live = scenario.live_count()
@@ -383,28 +514,7 @@ NAT_PROTOCOLS = ("gozar", "nylon")
 
 
 class TestNatProtocolPorts:
-    """Gozar and Nylon on the columnar engine: parity, capabilities, cell keys."""
-
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="needs numpy for the comparison")
-    @pytest.mark.parametrize("protocol", NAT_PROTOCOLS)
-    def test_backends_bit_identical(self, protocol):
-        import random
-
-        fingerprints = []
-        for use_numpy in (False, True):
-            engine = ColumnarEngine(
-                protocol, view_size=10, shuffle_size=5,
-                rng=random.Random(23), use_numpy=use_numpy,
-            )
-            for index in range(60):
-                engine.add_node(public=index % 5 == 0)
-            for round_index in range(25):
-                if round_index == 12:
-                    engine.kill(5)
-                    engine.add_node(public=False)
-                engine.run_round()
-            fingerprints.append(engine.fingerprint())
-        assert fingerprints[0] == fingerprints[1]
+    """Gozar and Nylon on the columnar engine: capabilities, reach, cell keys."""
 
     @pytest.mark.parametrize("protocol", NAT_PROTOCOLS)
     def test_capability_dispatch(self, protocol):
@@ -489,8 +599,3 @@ class TestCrossEngine:
         assert abs(results["object"] - results["columnar"]) < 0.05
         for mean in results.values():
             assert math.isfinite(mean)
-
-    def test_deepcopy_preserves_backend_choice(self):
-        scenario = make_scenario(seed=21, use_numpy=False)
-        clone = copy.deepcopy(scenario)
-        assert clone.engine.use_numpy is False
